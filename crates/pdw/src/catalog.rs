@@ -139,14 +139,7 @@ impl PdwCatalog {
             .tables
             .get_mut(name)
             .unwrap_or_else(|| panic!("no PDW table `{name}`"));
-        let total_bytes = match &*t {
-            PdwTable::Hash { parts, .. } => parts
-                .iter()
-                .flat_map(|x| x.iter())
-                .map(|r| row_bytes(r))
-                .sum::<u64>(),
-            PdwTable::Replicated { rows, .. } => rows.iter().map(|r| row_bytes(r)).sum::<u64>(),
-        };
+        let total_bytes = t.data_bytes();
         let matches = |r: &Row| {
             r[key_col]
                 .as_i64()

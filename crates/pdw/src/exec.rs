@@ -158,13 +158,131 @@ impl PRel {
             .sum()
     }
 
-    fn all_rows(&self) -> Vec<Row> {
+    /// Every row, distribution by distribution, moved out (not copied).
+    fn into_rows(self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.n_rows());
-        for p in &self.parts {
-            out.extend(p.iter().cloned());
+        for p in self.parts {
+            out.extend(p);
         }
         out
     }
+
+    /// Redistribute on `col` (a DMS shuffle's host side).
+    fn shuffled(self, col: usize, distributions: usize) -> PRel {
+        PRel {
+            width: self.width,
+            dist: Dist::Hash(col),
+            parts: ops::hash_partition(self.into_rows(), &[col], distributions),
+        }
+    }
+
+    /// Collect into one full copy (a DMS replicate's host side).
+    fn replicated(self) -> PRel {
+        PRel {
+            width: self.width,
+            dist: Dist::Replicated,
+            parts: vec![self.into_rows()],
+        }
+    }
+
+    fn filter(&mut self, pred: &Expr) {
+        for p in &mut self.parts {
+            p.retain(|r| pred.matches(r));
+        }
+    }
+
+    fn project(&mut self, exprs: &[(Expr, String)]) {
+        for p in &mut self.parts {
+            *p = ops::project(p, exprs);
+        }
+        self.set_projected(exprs);
+    }
+
+    /// Track the distribution key and width through a projection whose
+    /// rows are already in `parts`.
+    fn set_projected(&mut self, exprs: &[(Expr, String)]) {
+        self.dist = match self.dist {
+            Dist::Hash(c) => exprs
+                .iter()
+                .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
+                .map(Dist::Hash)
+                .unwrap_or(Dist::Arbitrary),
+            d => d,
+        };
+        self.width = exprs.len();
+    }
+}
+
+/// The row store's fused Filter/Project chain over one base table; `chain`
+/// is in execution order (innermost op first). The leading filters run on
+/// the borrowed base rows, so only their survivors are copied, and a
+/// projection right after them reads the borrowed rows directly. Any later
+/// ops run over the owned result, exactly as unfused ones would.
+fn scan_row_store(t: &PdwTable, chain: &[&LogicalPlan]) -> PRel {
+    let (base, dist) = match t {
+        PdwTable::Hash { col, parts, .. } => (parts.as_slice(), Dist::Hash(*col)),
+        PdwTable::Replicated { rows, .. } => (std::slice::from_ref(rows), Dist::Replicated),
+    };
+    let preds: Vec<&Expr> = chain
+        .iter()
+        .map_while(|op| match op {
+            LogicalPlan::Filter { pred, .. } => Some(pred),
+            _ => None,
+        })
+        .collect();
+    let keep = |r: &Row| preds.iter().all(|p| p.matches(r));
+    let mut rel = PRel {
+        parts: Vec::new(),
+        dist,
+        width: t.schema().len(),
+    };
+    let mut rest = &chain[preds.len()..];
+    if let Some(LogicalPlan::Project { exprs, .. }) = rest.first() {
+        rel.parts = base
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .filter(|r| keep(r))
+                    .map(|r| ops::project_row(r, exprs))
+                    .collect()
+            })
+            .collect();
+        rel.set_projected(exprs);
+        rest = &rest[1..];
+    } else {
+        rel.parts = base
+            .iter()
+            .map(|p| p.iter().filter(|r| keep(r)).cloned().collect())
+            .collect();
+    }
+    for op in rest {
+        match op {
+            LogicalPlan::Filter { pred, .. } => rel.filter(pred),
+            LogicalPlan::Project { exprs, .. } => rel.project(exprs),
+            _ => unreachable!("scan chains hold only Filter and Project"),
+        }
+    }
+    rel
+}
+
+/// Bytes of every base table, walked once per query. The buffer-pool hot
+/// fraction and every row-store scan's volume read from it. It is never
+/// cached on the catalog, so the refresh functions cannot leave it stale.
+fn table_bytes(cat: &PdwCatalog) -> BTreeMap<&str, u64> {
+    cat.tables
+        .iter()
+        .map(|(name, t)| (name.as_str(), t.data_bytes()))
+        .collect()
+}
+
+/// Fraction of base-table bytes resident in the cluster-wide buffer pool.
+/// At SF 250 the whole database fits in the 16 × 24 GB of buffer memory
+/// (the paper's "PDW can better exploit that most of the data fits in
+/// memory" at small scale factors); at SF 16000 almost nothing does.
+fn hot_fraction(p: &Params, table_bytes: &BTreeMap<&str, u64>) -> f64 {
+    let pool = p.bufpool_bytes() as f64 * p.nodes as f64;
+    let data: u64 = table_bytes.values().sum();
+    (pool / (data.max(1) as f64)).min(1.0)
 }
 
 /// The PDW engine.
@@ -257,28 +375,18 @@ impl PdwEngine {
         // Cost-based optimizer front end: predicate pushdown (Hive 0.7
         // lacks this for Q9's LIKE filter — PDW does not).
         let plan = pushdown_filters(plan);
-        let mut exec = ClusterExec::new(self.catalog.params.clone());
-        exec.set_probe(probe);
+        let mut ctx = Ctx::new(self);
+        ctx.exec.set_probe(probe);
         if record {
-            exec.record_phases();
+            ctx.exec.record_phases();
         }
-        let mut ctx = Ctx {
-            cat: &self.catalog,
-            exec,
-            use_indexes: self.use_indexes,
-            colblock: self.colblock,
-            feedback: self.feedback.unwrap_or_else(FeedbackCosts::none),
-            materialized: BTreeMap::new(),
-            decisions: Vec::new(),
-            scan_stats: ScanStats::default(),
-        };
         let rel = ctx.exec(&plan);
         // Final answer returns through the control node.
         let rows = match rel.dist {
             Dist::Replicated => rel.parts.into_iter().next().unwrap_or_default(),
             _ => {
                 ctx.charge_gather("final-gather", rel.bytes());
-                rel.all_rows()
+                rel.into_rows()
             }
         };
         let total_secs = ctx.exec.now_secs();
@@ -328,9 +436,31 @@ struct Ctx<'a> {
     decisions: Vec<JoinDecision>,
     /// Accumulated block-pruning totals over every colblock scan.
     scan_stats: ScanStats,
+    /// Every base table's bytes, measured once at query start.
+    table_bytes: BTreeMap<&'a str, u64>,
+    /// Buffer-pool hot fraction of the database (see [`hot_fraction`]).
+    hot: f64,
 }
 
 impl<'a> Ctx<'a> {
+    fn new(engine: &'a PdwEngine) -> Self {
+        let cat = &engine.catalog;
+        let table_bytes = table_bytes(cat);
+        let hot = hot_fraction(&cat.params, &table_bytes);
+        Ctx {
+            cat,
+            exec: ClusterExec::new(cat.params.clone()),
+            use_indexes: engine.use_indexes,
+            colblock: engine.colblock,
+            feedback: engine.feedback.unwrap_or_else(FeedbackCosts::none),
+            materialized: BTreeMap::new(),
+            decisions: Vec::new(),
+            scan_stats: ScanStats::default(),
+            table_bytes,
+            hot,
+        }
+    }
+
     fn p(&self) -> &'a Params {
         &self.cat.params
     }
@@ -340,18 +470,6 @@ impl<'a> Ctx<'a> {
     fn units(&self) -> f64 {
         let p = self.p();
         p.pdw_distributions_per_node.min(p.cores_per_node) as f64
-    }
-
-    /// Fraction of base-table bytes resident in the cluster-wide buffer
-    /// pool. At SF 250 the whole database fits in the 16 × 24 GB of buffer
-    /// memory (the paper's "PDW can better exploit that most of the data
-    /// fits in memory" at small scale factors); at SF 16000 almost nothing
-    /// does.
-    fn hot_fraction(&self) -> f64 {
-        let p = self.p();
-        let pool = p.bufpool_bytes() as f64 * p.nodes as f64;
-        let data: u64 = self.cat.tables.values().map(|t| t.data_bytes()).sum();
-        (pool / (data.max(1) as f64)).min(1.0)
     }
 
     /// Parallel CPU lanes per node, as a count.
@@ -373,7 +491,7 @@ impl<'a> Ctx<'a> {
     fn charge_scan(&mut self, name: &str, bytes: u64, rows: usize) {
         let p = self.p();
         let nodes = p.nodes as f64;
-        let cold = 1.0 - self.hot_fraction();
+        let cold = 1.0 - self.hot;
         let node_bytes = bytes as f64 * cold / nodes;
         let lane_cpu = rows as f64 / nodes / (p.pdw_scan_rows_per_sec * self.units());
         let mut ph = Phase::new(format!("scan:{name}")).setup(p.pdw_step_overhead);
@@ -395,7 +513,7 @@ impl<'a> Ctx<'a> {
         if self.use_indexes && sel < INDEX_SELECTIVITY && base_rows > 0 {
             let p = self.p();
             let nodes = p.nodes as f64;
-            let cold = 1.0 - self.hot_fraction();
+            let cold = 1.0 - self.hot;
             let node_bytes = bytes as f64 * sel * RANDOM_PENALTY * cold / nodes;
             let lane_cpu = out_rows as f64 / nodes / (p.pdw_scan_rows_per_sec * self.units());
             let mut ph = Phase::new(format!("index-scan:{name}")).setup(p.pdw_step_overhead);
@@ -415,7 +533,7 @@ impl<'a> Ctx<'a> {
     fn charge_scan_colblock(&mut self, name: &str, stats: &ScanStats, decoded_rows: usize) {
         let p = self.p();
         let (node_bytes, lane_cpu) =
-            colblock_scan_charge(p, stats, decoded_rows, self.hot_fraction(), self.units());
+            colblock_scan_charge(p, stats, decoded_rows, self.hot, self.units());
         let mut ph = Phase::new(format!("colscan:{name}")).setup(p.pdw_step_overhead);
         for n in 0..p.nodes {
             ph.disk_seq(n, node_bytes, p.pdw_scan_bw_per_node);
@@ -487,25 +605,12 @@ impl<'a> Ctx<'a> {
         match plan {
             LogicalPlan::Filter { input, pred } => {
                 let mut rel = self.exec(input);
-                for p in &mut rel.parts {
-                    p.retain(|r| pred.matches(r));
-                }
+                rel.filter(pred);
                 rel
             }
             LogicalPlan::Project { input, exprs } => {
                 let mut rel = self.exec(input);
-                for p in &mut rel.parts {
-                    *p = ops::project(p, exprs);
-                }
-                rel.dist = match rel.dist {
-                    Dist::Hash(c) => exprs
-                        .iter()
-                        .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                        .map(Dist::Hash)
-                        .unwrap_or(Dist::Arbitrary),
-                    d => d,
-                };
-                rel.width = exprs.len();
+                rel.project(exprs);
                 rel
             }
             LogicalPlan::Join { .. } => self.exec_join(plan),
@@ -551,7 +656,8 @@ impl<'a> Ctx<'a> {
 
     /// Fuse Filter/Project chains directly over a base scan. PDW's row
     /// store reads full rows from disk; filters and projections happen
-    /// after the read.
+    /// after the read (on the host, before any row is copied — see
+    /// [`scan_row_store`]).
     fn try_scan_chain(&mut self, plan: &LogicalPlan) -> Option<PRel> {
         let mut ops_rev: Vec<&LogicalPlan> = Vec::new();
         let mut cur = plan;
@@ -571,43 +677,11 @@ impl<'a> Ctx<'a> {
             }
         }
         let t = self.cat.table(&table);
-        let base_rows = t.n_rows();
-        let base_bytes = t.data_bytes();
-        let (mut parts, mut dist, mut width) = match t {
-            PdwTable::Hash { col, parts, schema } => {
-                (parts.clone(), Dist::Hash(*col), schema.len())
-            }
-            PdwTable::Replicated { rows, schema } => {
-                (vec![rows.clone()], Dist::Replicated, schema.len())
-            }
-        };
-        for op in ops_rev.iter().rev() {
-            match op {
-                LogicalPlan::Filter { pred, .. } => {
-                    for p in &mut parts {
-                        p.retain(|r| pred.matches(r));
-                    }
-                }
-                LogicalPlan::Project { exprs, .. } => {
-                    for p in &mut parts {
-                        *p = ops::project(p, exprs);
-                    }
-                    dist = match dist {
-                        Dist::Hash(c) => exprs
-                            .iter()
-                            .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                            .map(Dist::Hash)
-                            .unwrap_or(Dist::Arbitrary),
-                        d => d,
-                    };
-                    width = exprs.len();
-                }
-                _ => unreachable!(),
-            }
-        }
-        let out_rows: usize = parts.iter().map(Vec::len).sum();
-        self.charge_scan_filtered(&table, base_bytes, base_rows, out_rows);
-        Some(PRel { parts, dist, width })
+        let chain: Vec<&LogicalPlan> = ops_rev.into_iter().rev().collect();
+        let rel = scan_row_store(t, &chain);
+        let base_bytes = self.table_bytes[table.as_str()];
+        self.charge_scan_filtered(&table, base_bytes, t.n_rows(), rel.n_rows());
+        Some(rel)
     }
 
     /// The columnar scan path: per distribution, decode only the needed
@@ -808,6 +882,10 @@ impl<'a> Ctx<'a> {
             }
         }
         let rels: Vec<PRel> = leaves.iter().map(|l| self.exec(l)).collect();
+        // Leaf statistics are measured once: a leaf does not change until
+        // it is joined. NDVs are measured on first use, per (leaf, column).
+        let leaf_bytes: Vec<u64> = rels.iter().map(PRel::bytes).collect();
+        let mut leaf_ndv: BTreeMap<(usize, usize), usize> = BTreeMap::new();
 
         let n = rels.len();
         let mut remaining: BTreeSet<usize> = (0..n).collect();
@@ -816,7 +894,7 @@ impl<'a> Ctx<'a> {
             .iter()
             .copied()
             .filter(|&i| chain.preds.iter().any(|p| p.left.0 == i || p.right.0 == i))
-            .min_by_key(|&i| rels[i].bytes())
+            .min_by_key(|&i| leaf_bytes[i])
             .unwrap_or(0);
         remaining.remove(&start);
 
@@ -830,6 +908,11 @@ impl<'a> Ctx<'a> {
         while !remaining.is_empty() {
             // Candidates joined to the current result by some predicate.
             let joined_leaves: BTreeSet<usize> = layout.iter().map(|&(l, _)| l).collect();
+            // `current`'s statistics, measured once per round.
+            let cur_bytes = current.bytes();
+            let cur_rows = current.n_rows();
+            let cur_avg = cur_bytes / cur_rows.max(1) as u64;
+            let mut cur_ndv: BTreeMap<usize, usize> = BTreeMap::new();
             let mut best: Option<(usize, f64)> = None;
             for &cand in &remaining {
                 let connected = chain.preds.iter().any(|p| {
@@ -858,11 +941,17 @@ impl<'a> Ctx<'a> {
                     .iter()
                     .position(|&lc| lc == cur_leafcol)
                     .expect("joined col in layout");
-                let ndv_cand = ndv(&r.parts, cand_col);
-                let ndv_cur = ndv(&current.parts, cur_pos);
-                let est_rows = est_join_rows(current.n_rows(), r.n_rows(), ndv_cur, ndv_cand);
-                let move_bytes = r.bytes().min(current.bytes()) as f64;
-                let avg_w = (row_avg(&current) + row_avg(r)) as f64;
+                let ndv_cand = *leaf_ndv
+                    .entry((cand, cand_col))
+                    .or_insert_with(|| ndv(&r.parts, cand_col));
+                let ndv_cur = *cur_ndv
+                    .entry(cur_pos)
+                    .or_insert_with(|| ndv(&current.parts, cur_pos));
+                let r_rows = r.n_rows();
+                let est_rows = est_join_rows(cur_rows, r_rows, ndv_cur, ndv_cand);
+                let move_bytes = leaf_bytes[cand].min(cur_bytes) as f64;
+                let r_avg = leaf_bytes[cand] / r_rows.max(1) as u64;
+                let avg_w = (cur_avg + r_avg) as f64;
                 let score = move_bytes + est_rows * avg_w;
                 if best.is_none_or(|(_, s)| score < s) {
                     best = Some((cand, score));
@@ -1098,95 +1187,77 @@ impl<'a> Ctx<'a> {
             Move::None => {}
             Move::ShuffleL(lc, _) => {
                 self.charge_shuffle(name, lb);
-                l = PRel {
-                    parts: ops::hash_partition(l.all_rows(), &[lc], d),
-                    dist: Dist::Hash(lc),
-                    width: l.width,
-                };
+                l = l.shuffled(lc, d);
             }
             Move::ShuffleR(_, rc) => {
                 self.charge_shuffle(name, rb);
-                r = PRel {
-                    parts: ops::hash_partition(r.all_rows(), &[rc], d),
-                    dist: Dist::Hash(rc),
-                    width: r.width,
-                };
+                r = r.shuffled(rc, d);
             }
             Move::ReplicateR => {
                 self.charge_replicate(name, rb);
-                r = PRel {
-                    parts: vec![r.all_rows()],
-                    dist: Dist::Replicated,
-                    width: r.width,
-                };
+                r = r.replicated();
             }
             Move::ReplicateL => {
                 self.charge_replicate(name, lb);
-                l = PRel {
-                    parts: vec![l.all_rows()],
-                    dist: Dist::Replicated,
-                    width: l.width,
-                };
+                l = l.replicated();
             }
             Move::ShuffleBoth(lc, rc) => {
                 self.charge_shuffle(name, lb + rb);
-                l = PRel {
-                    parts: ops::hash_partition(l.all_rows(), &[lc], d),
-                    dist: Dist::Hash(lc),
-                    width: l.width,
-                };
-                r = PRel {
-                    parts: ops::hash_partition(r.all_rows(), &[rc], d),
-                    dist: Dist::Hash(rc),
-                    width: r.width,
-                };
+                l = l.shuffled(lc, d);
+                r = r.shuffled(rc, d);
             }
         }
 
-        // Local join per distribution.
-        let rw = r.width;
-        let empty: Vec<Row> = Vec::new();
-        let (out_parts, out_dist): (Vec<Vec<Row>>, Dist) = match (&l.dist, &r.dist) {
+        // Local join per distribution. Each side's distributions are moved
+        // into the join and dropped once joined; only a replicated side
+        // stays whole until the end.
+        let (lw, rw) = (l.width, r.width);
+        let join_rows = l.n_rows() + r.n_rows();
+        let (out_parts, out_dist): (Vec<Vec<Row>>, Dist) = match (l.dist, r.dist) {
             (Dist::Replicated, Dist::Replicated) => {
                 let out = ops::hash_join(&l.parts[0], &r.parts[0], &on, kind, residual, rw);
                 (vec![out], Dist::Replicated)
             }
-            (Dist::Replicated, _) => {
+            (Dist::Replicated, rdist) => {
                 debug_assert_eq!(kind, JoinKind::Inner, "left-replicated only for inner");
                 let parts = r
                     .parts
-                    .iter()
-                    .map(|rp| ops::hash_join(&l.parts[0], rp, &on, kind, residual, rw))
+                    .into_iter()
+                    .map(|rp| ops::hash_join(&l.parts[0], &rp, &on, kind, residual, rw))
                     .collect();
-                let dist = match r.dist {
-                    Dist::Hash(rc) => Dist::Hash(l.width + rc),
+                let dist = match rdist {
+                    Dist::Hash(rc) => Dist::Hash(lw + rc),
                     _ => Dist::Arbitrary,
                 };
                 (parts, dist)
             }
-            (_, Dist::Replicated) => {
+            (ldist, Dist::Replicated) => {
+                // Every distribution probes the same replicated copy: build
+                // its hash table once, not once per distribution.
+                let table = ops::JoinTable::build(&r.parts[0], &on);
                 let parts = l
                     .parts
-                    .iter()
-                    .map(|lp| ops::hash_join(lp, &r.parts[0], &on, kind, residual, rw))
+                    .into_iter()
+                    .map(|lp| table.probe(&lp, kind, residual, rw))
                     .collect();
-                (parts, l.dist)
+                (parts, ldist)
             }
-            _ => {
+            (ldist, _) => {
+                let (mut lparts, mut rparts) = (l.parts.into_iter(), r.parts.into_iter());
                 let parts = (0..d)
-                    .map(|i| {
-                        let lp = l.parts.get(i).unwrap_or(&empty);
-                        let rp = r.parts.get(i).unwrap_or(&empty);
-                        ops::hash_join(lp, rp, &on, kind, residual, rw)
+                    .map(|_| {
+                        let lp = lparts.next().unwrap_or_default();
+                        let rp = rparts.next().unwrap_or_default();
+                        ops::hash_join(&lp, &rp, &on, kind, residual, rw)
                     })
                     .collect();
-                (parts, l.dist)
+                (parts, ldist)
             }
         };
-        self.charge_join(&format!("local-join:{name}"), l.n_rows() + r.n_rows());
+        self.charge_join(&format!("local-join:{name}"), join_rows);
         let width = match kind {
-            JoinKind::Inner | JoinKind::Left => l.width + rw,
-            _ => l.width,
+            JoinKind::Inner | JoinKind::Left => lw + rw,
+            _ => lw,
         };
         PRel {
             parts: out_parts,
@@ -1278,22 +1349,17 @@ impl<'a> Ctx<'a> {
 
     fn exec_sort(&mut self, rel: PRel, keys: &[SortKey], limit: Option<usize>) -> PRel {
         self.charge_gather("order-by", rel.bytes());
-        let mut rows = ops::sort(rel.all_rows(), keys);
+        let width = rel.width;
+        let mut rows = ops::sort(rel.into_rows(), keys);
         if let Some(n) = limit {
             rows.truncate(n);
         }
-        let width = rel.width;
         PRel {
             parts: vec![rows],
             dist: Dist::Replicated,
             width,
         }
     }
-}
-
-fn row_avg(r: &PRel) -> u64 {
-    let n = r.n_rows().max(1) as u64;
-    r.bytes() / n
 }
 
 #[cfg(test)]
@@ -1477,6 +1543,172 @@ mod tests {
             }
             assert!(run.steps.iter().any(|s| s.name.starts_with("colscan:")));
         }
+    }
+
+    /// A hand-built two-table database: `fact(k, g, v)` hash-distributed
+    /// on `k` over every distribution, `dim(g, name)` replicated. `fact.g`
+    /// is NULL on a few rows and reaches 6, which `dim` lacks, so outer
+    /// joins on it keep unmatched rows.
+    fn small_db() -> (PdwEngine, Catalog) {
+        use relational::{DataType, Schema, Table, Value};
+        let params = Params::paper_dss().scaled(25_000.0);
+        let d = params.total_distributions() as usize;
+        let fact_schema = Schema::of(&[
+            ("k", DataType::I64),
+            ("g", DataType::I64),
+            ("v", DataType::I64),
+        ]);
+        let fact: Vec<Row> = (0..300i64)
+            .map(|i| {
+                let g = if i % 50 == 7 {
+                    Value::Null
+                } else {
+                    Value::I64(i % 7)
+                };
+                vec![Value::I64(i), g, Value::I64(i * 37 % 101)]
+            })
+            .collect();
+        let dim_schema = Schema::of(&[("g", DataType::I64), ("name", DataType::Str)]);
+        let dim: Vec<Row> = (0..6i64)
+            .map(|g| vec![Value::I64(g), Value::str(format!("g{g}"))])
+            .collect();
+        let mut tables = BTreeMap::new();
+        tables.insert(
+            "fact".to_string(),
+            PdwTable::Hash {
+                schema: fact_schema.clone(),
+                col: 0,
+                parts: ops::hash_partition(fact.clone(), &[0], d),
+            },
+        );
+        tables.insert(
+            "dim".to_string(),
+            PdwTable::Replicated {
+                schema: dim_schema.clone(),
+                rows: dim.clone(),
+            },
+        );
+        let pdw = PdwCatalog {
+            tables,
+            params,
+            distributions: d,
+            col_files: BTreeMap::new(),
+        };
+        let mut cat = Catalog::new();
+        cat.add("fact", Table::new(fact_schema, fact));
+        cat.add("dim", Table::new(dim_schema, dim));
+        (PdwEngine::new(pdw), cat)
+    }
+
+    /// Run `plan` through the engine's operator tree (no final gather) and
+    /// return the partitioned result with the step names it charged.
+    fn exec_rel(engine: &PdwEngine, plan: &LogicalPlan) -> (PRel, Vec<String>) {
+        let mut ctx = Ctx::new(engine);
+        let rel = ctx.exec(plan);
+        let steps = ctx.exec.take_trace().spans.into_iter().map(|s| s.name);
+        (rel, steps.collect())
+    }
+
+    #[test]
+    fn fused_row_scan_matches_reference_for_every_chain_shape() {
+        use relational::expr::{col, lit_i64};
+        let (engine, cat) = small_db();
+        let d = engine.catalog.distributions;
+        let cases = [
+            (
+                "leading filters",
+                LogicalPlan::scan("fact")
+                    .filter(col(2).gt(lit_i64(20)))
+                    .filter(col(1).lt(lit_i64(5)))
+                    .filter(col(0).ge(lit_i64(10))),
+                Dist::Hash(0),
+                3,
+            ),
+            (
+                "project first",
+                LogicalPlan::scan("fact").project(vec![(col(2), "v"), (col(0), "k")]),
+                Dist::Hash(1),
+                2,
+            ),
+            (
+                "filter above projection",
+                LogicalPlan::scan("fact")
+                    .filter(col(2).gt(lit_i64(5)))
+                    .project(vec![
+                        (col(1), "g"),
+                        (col(2), "v"),
+                        (col(2).mul(lit_i64(2)), "v2"),
+                    ])
+                    .filter(col(2).lt(lit_i64(150)))
+                    .project(vec![(col(0), "g"), (col(2), "v2")]),
+                Dist::Arbitrary,
+                2,
+            ),
+            (
+                "replicated base",
+                LogicalPlan::scan("dim")
+                    .filter(col(0).ge(lit_i64(2)))
+                    .project(vec![(col(1), "name"), (col(0), "g")]),
+                Dist::Replicated,
+                2,
+            ),
+        ];
+        for (label, plan, dist, width) in cases {
+            let (rel, steps) = exec_rel(&engine, &plan);
+            let (_, want) = execute(&plan, &cat);
+            assert_eq!(rel.dist, dist, "{label}: distribution");
+            assert_eq!(rel.width, width, "{label}: width");
+            let n_parts = if dist == Dist::Replicated { 1 } else { d };
+            assert_eq!(rel.parts.len(), n_parts, "{label}: partitions");
+            assert_rows_match(label, &rel.into_rows(), &want);
+            assert_eq!(steps.len(), 1, "{label}: one fused scan step: {steps:?}");
+            assert!(steps[0].starts_with("scan:"), "{label}: {steps:?}");
+        }
+
+        // Filters keep every survivor in its own distribution, in order.
+        let pred = col(2).gt(lit_i64(20));
+        let (rel, _) = exec_rel(&engine, &LogicalPlan::scan("fact").filter(pred.clone()));
+        let PdwTable::Hash { parts, .. } = engine.catalog.table("fact") else {
+            panic!("fact is hash-distributed");
+        };
+        for (got, base) in rel.parts.iter().zip(parts) {
+            let want: Vec<Row> = base.iter().filter(|r| pred.matches(r)).cloned().collect();
+            assert_eq!(got, &want);
+        }
+    }
+
+    #[test]
+    fn replicated_right_join_keeps_null_keys_and_outer_rows() {
+        use relational::Value;
+        let (engine, cat) = small_db();
+        // fact.g = dim.g, left outer: the replicated dim table is built
+        // once and probed by every fact distribution.
+        let plan = LogicalPlan::scan("fact").join_kind(
+            LogicalPlan::scan("dim"),
+            JoinKind::Left,
+            vec![(1, 0)],
+            None,
+        );
+        let mut ctx = Ctx::new(&engine);
+        let rel = ctx.exec(&plan);
+        assert_eq!(ctx.decisions.len(), 1);
+        assert_eq!(ctx.decisions[0].chosen, "none", "{:?}", ctx.decisions[0]);
+        assert_eq!(rel.dist, Dist::Hash(0));
+        assert_eq!(rel.width, 5);
+        assert_eq!(rel.parts.len(), engine.catalog.distributions);
+        assert!(rel.parts.iter().filter(|p| !p.is_empty()).count() > 1);
+
+        let rows = rel.into_rows();
+        let (_, want) = execute(&plan, &cat);
+        assert_rows_match("replicated-right left join", &rows, &want);
+        let padded = |g: &Value| {
+            rows.iter()
+                .filter(|r| &r[1] == g && r[3].is_null() && r[4].is_null())
+                .count()
+        };
+        assert_eq!(padded(&Value::Null), 6, "NULL-key rows survive, padded");
+        assert_eq!(padded(&Value::I64(6)), 42, "unmatched keys survive, padded");
+        assert_eq!(rows.len(), 300);
     }
 
     #[test]

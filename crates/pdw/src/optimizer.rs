@@ -2,7 +2,7 @@
 //! estimation — the cost-based-optimizer half of the engine.
 
 use relational::expr::Expr;
-use relational::{JoinKind, LogicalPlan, Row};
+use relational::{JoinKind, LogicalPlan, Row, Value};
 // simlint: allow(no-unordered-iter) — HashSet is count-only (see `ndv`); ordered state uses the BTree types
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -287,10 +287,10 @@ fn count_width(plan: &LogicalPlan) -> usize {
 /// "measured statistics" our idealized optimizer uses).
 pub fn ndv(parts: &[Vec<Row>], col: usize) -> usize {
     // simlint: allow(no-unordered-iter) — the set is only counted (`len`), never iterated
-    let mut set = HashSet::new();
+    let mut set: HashSet<&Value> = HashSet::new();
     for p in parts {
         for r in p {
-            set.insert(r[col].clone());
+            set.insert(&r[col]);
         }
     }
     set.len().max(1)
@@ -328,7 +328,6 @@ pub fn colblock_scan_charge(
 mod tests {
     use super::*;
     use relational::expr::{and, col, lit_i64, lit_str, or};
-    use relational::Value;
 
     #[test]
     fn chain_extraction_flattens_left_deep_joins() {

@@ -20,9 +20,12 @@ pub fn filter(rows: Vec<Row>, pred: &Expr) -> Vec<Row> {
 
 /// SELECT list: evaluate expressions per row.
 pub fn project(rows: &[Row], exprs: &[(Expr, String)]) -> Vec<Row> {
-    rows.iter()
-        .map(|r| exprs.iter().map(|(e, _)| e.eval(r)).collect())
-        .collect()
+    rows.iter().map(|r| project_row(r, exprs)).collect()
+}
+
+/// SELECT list over one row.
+pub fn project_row(row: &[Value], exprs: &[(Expr, String)]) -> Row {
+    exprs.iter().map(|(e, _)| e.eval(row)).collect()
 }
 
 fn key_of(row: &[Value], cols: &[usize]) -> Vec<Value> {
@@ -34,7 +37,8 @@ fn key_of(row: &[Value], cols: &[usize]) -> Vec<Value> {
 /// join. `residual` is evaluated over the concatenated `[left ++ right]` row
 /// (for all kinds, including semi/anti, where it sees the candidate match).
 ///
-/// NULL join keys never match (SQL semantics).
+/// NULL join keys never match (SQL semantics). Equivalent to
+/// [`JoinTable::build`] followed by one [`JoinTable::probe`].
 pub fn hash_join(
     left: &[Row],
     right: &[Row],
@@ -43,75 +47,115 @@ pub fn hash_join(
     residual: Option<&Expr>,
     right_width: usize,
 ) -> Vec<Row> {
-    if on.is_empty() {
-        return cross_join(left, right, kind, residual, right_width);
-    }
-    let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+    JoinTable::build(right, on).probe(left, kind, residual, right_width)
+}
 
-    // simlint: allow(no-unordered-iter) — build side is probe-only (`get`), output order is driven by the `left` scan
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, r) in right.iter().enumerate() {
-        let k = key_of(r, &rcols);
-        if k.iter().any(Value::is_null) {
-            continue;
+/// The build side of [`hash_join`]: `right` indexed on its join-key
+/// columns once, then probed by any number of left inputs (one per
+/// partition, say) without rebuilding. Each probe's output is exactly what
+/// [`hash_join`] returns for that left input.
+pub struct JoinTable<'a> {
+    right: &'a [Row],
+    lcols: Vec<usize>,
+    /// Right-row indices per non-NULL key, in `right` order. `None` when
+    /// `on` is empty: probes degrade to a nested-loop cross join.
+    // simlint: allow(no-unordered-iter) — the index is only probed (`get`), never iterated; output order is driven by the `left` scan
+    index: Option<HashMap<Vec<Value>, Vec<usize>>>,
+}
+
+impl<'a> JoinTable<'a> {
+    /// Index `right` on the right-hand columns of `on`.
+    pub fn build(right: &'a [Row], on: &[(usize, usize)]) -> Self {
+        let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
+        if on.is_empty() {
+            return JoinTable {
+                right,
+                lcols,
+                index: None,
+            };
         }
-        table.entry(k).or_default().push(i);
+        let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        // simlint: allow(no-unordered-iter) — build side is probe-only (`get`), output order is driven by the `left` scan
+        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        for (i, r) in right.iter().enumerate() {
+            let k = key_of(r, &rcols);
+            if k.iter().any(Value::is_null) {
+                continue;
+            }
+            table.entry(k).or_default().push(i);
+        }
+        JoinTable {
+            right,
+            lcols,
+            index: Some(table),
+        }
     }
 
-    let mut out = Vec::new();
-    let mut scratch: Row = Vec::new();
-    for l in left {
-        let k = key_of(l, &lcols);
-        let matches = if k.iter().any(Value::is_null) {
-            None
-        } else {
-            table.get(&k)
+    /// Join `left` against the built side; output order follows `left`.
+    pub fn probe(
+        &self,
+        left: &[Row],
+        kind: JoinKind,
+        residual: Option<&Expr>,
+        right_width: usize,
+    ) -> Vec<Row> {
+        let Some(table) = &self.index else {
+            return cross_join(left, self.right, kind, residual, right_width);
         };
-        let mut any = false;
-        if let Some(idxs) = matches {
-            for &ri in idxs {
-                let r = &right[ri];
-                let ok = match residual {
-                    Some(pred) => {
-                        scratch.clear();
-                        scratch.extend(l.iter().cloned());
-                        scratch.extend(r.iter().cloned());
-                        pred.matches(&scratch)
+        let mut out = Vec::new();
+        let mut scratch: Row = Vec::new();
+        for l in left {
+            let k = key_of(l, &self.lcols);
+            let matches = if k.iter().any(Value::is_null) {
+                None
+            } else {
+                table.get(&k)
+            };
+            let mut any = false;
+            if let Some(idxs) = matches {
+                for &ri in idxs {
+                    let r = &self.right[ri];
+                    let ok = match residual {
+                        Some(pred) => {
+                            scratch.clear();
+                            scratch.extend(l.iter().cloned());
+                            scratch.extend(r.iter().cloned());
+                            pred.matches(&scratch)
+                        }
+                        None => true,
+                    };
+                    if !ok {
+                        continue;
                     }
-                    None => true,
-                };
-                if !ok {
-                    continue;
+                    any = true;
+                    match kind {
+                        JoinKind::Inner | JoinKind::Left => {
+                            let mut row = l.clone();
+                            row.extend(r.iter().cloned());
+                            out.push(row);
+                        }
+                        JoinKind::LeftSemi => {
+                            out.push(l.clone());
+                            break;
+                        }
+                        JoinKind::LeftAnti => break,
+                    }
                 }
-                any = true;
+            }
+            if !any {
                 match kind {
-                    JoinKind::Inner | JoinKind::Left => {
+                    JoinKind::Left => {
                         let mut row = l.clone();
-                        row.extend(r.iter().cloned());
+                        row.extend(std::iter::repeat_n(Value::Null, right_width));
                         out.push(row);
                     }
-                    JoinKind::LeftSemi => {
-                        out.push(l.clone());
-                        break;
-                    }
-                    JoinKind::LeftAnti => break,
+                    JoinKind::LeftAnti => out.push(l.clone()),
+                    _ => {}
                 }
             }
         }
-        if !any {
-            match kind {
-                JoinKind::Left => {
-                    let mut row = l.clone();
-                    row.extend(std::iter::repeat_n(Value::Null, right_width));
-                    out.push(row);
-                }
-                JoinKind::LeftAnti => out.push(l.clone()),
-                _ => {}
-            }
-        }
+        out
     }
-    out
 }
 
 fn cross_join(

@@ -178,3 +178,94 @@ proptest! {
         }
     }
 }
+
+// ---- one build, many probes -------------------------------------------------
+
+/// Rows whose join key (column 0) is NULL about one time in six.
+fn arb_nullable_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    let row = (0i64..6, 0i64..12, -20i64..20).prop_map(|(null, k, v)| {
+        let key = if null == 0 {
+            Value::Null
+        } else {
+            Value::I64(k)
+        };
+        vec![key, Value::I64(k % 3), Value::I64(v)]
+    });
+    proptest::collection::vec(row, 0..max)
+}
+
+/// Naive reference for every join kind: a nested loop over `right` in
+/// order, with SQL NULL-key semantics and the residual over `[left ++ right]`.
+fn nested_loop_join(
+    l: &[Row],
+    r: &[Row],
+    on: &[(usize, usize)],
+    kind: JoinKind,
+    residual: Option<&relational::Expr>,
+    right_width: usize,
+) -> Vec<Row> {
+    let mut out = Vec::new();
+    for a in l {
+        let matches: Vec<&Row> = r
+            .iter()
+            .filter(|b| {
+                on.iter()
+                    .all(|&(lc, rc)| !a[lc].is_null() && a[lc] == b[rc])
+            })
+            .filter(|b| {
+                let mut both = a.clone();
+                both.extend(b.iter().cloned());
+                residual.is_none_or(|p| p.matches(&both))
+            })
+            .collect();
+        match kind {
+            JoinKind::Inner | JoinKind::Left => {
+                for b in &matches {
+                    let mut row = a.clone();
+                    row.extend(b.iter().cloned());
+                    out.push(row);
+                }
+                if matches.is_empty() && kind == JoinKind::Left {
+                    let mut row = a.clone();
+                    row.extend(std::iter::repeat_n(Value::Null, right_width));
+                    out.push(row);
+                }
+            }
+            JoinKind::LeftSemi if !matches.is_empty() => out.push(a.clone()),
+            JoinKind::LeftAnti if matches.is_empty() => out.push(a.clone()),
+            _ => {}
+        }
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn one_build_probed_per_partition_equals_hash_join_per_partition(
+        l in arb_nullable_rows(60),
+        r in arb_nullable_rows(40),
+        n in 1usize..6,
+    ) {
+        // Deal the left side round-robin into `n` partitions: a replicated
+        // right side is probed once per left partition.
+        let mut parts: Vec<Vec<Row>> = vec![Vec::new(); n];
+        for (i, row) in l.into_iter().enumerate() {
+            parts[i % n].push(row);
+        }
+        let residual = col(2).lt(col(5));
+        for on in [vec![(0, 0)], vec![(0, 0), (1, 1)], vec![]] {
+            let table = ops::JoinTable::build(&r, &on);
+            for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::LeftSemi, JoinKind::LeftAnti] {
+                for res in [None, Some(&residual)] {
+                    for p in &parts {
+                        let got = table.probe(p, kind, res, 3);
+                        prop_assert_eq!(&got, &ops::hash_join(p, &r, &on, kind, res, 3));
+                        // Exact rows in exact order: left-driven, matches
+                        // in right-input order.
+                        prop_assert_eq!(got, nested_loop_join(p, &r, &on, kind, res, 3));
+                    }
+                }
+            }
+        }
+    }
+}

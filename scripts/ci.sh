@@ -82,6 +82,20 @@ echo "== adaptive mix (mid-flight re-planning artifact diff + equivalence assert
 cargo run -q --release -p bench --bin adaptive_mix > "$obs_tmp/adaptive_mix.txt"
 diff -u results/adaptive_mix.txt "$obs_tmp/adaptive_mix.txt"
 
+echo "== DSS grid (PDW step trace + paper calibration artifact diffs)"
+# The PDW host data plane (fused row scans, one hash build per replicated
+# join side, per-query table statistics) must not move a simulated number
+# or an answer: the step trace and both calibration tables regenerate
+# byte-for-byte, with the commands reproduce_all.sh writes them with.
+cargo run -q --release -p bench --bin pdw_steps -- --queries 1,5,19 > "$obs_tmp/pdw_steps.txt"
+diff -u results/pdw_steps.txt "$obs_tmp/pdw_steps.txt"
+cargo run -q --release -p bench --bin compare_paper -- --sf 0.02 --scale 250 \
+  > "$obs_tmp/compare_paper_250.txt"
+diff -u results/compare_paper_250.txt "$obs_tmp/compare_paper_250.txt"
+cargo run -q --release -p bench --bin compare_paper -- --sf 0.02 --scale 16000 \
+  > "$obs_tmp/compare_paper_16000.txt"
+diff -u results/compare_paper_16000.txt "$obs_tmp/compare_paper_16000.txt"
+
 echo "== columnar ablation (three-way storage artifact diff)"
 # The colblock scan path (block pruning order, vectorized decode, shared
 # format-cost table) is deterministic by construction; regenerating the

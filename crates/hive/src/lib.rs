@@ -23,9 +23,6 @@
 //!   partitioned/joined/aggregated with the shared `relational::ops`
 //!   kernels, while the `mapreduce` engine turns per-task volumes into
 //!   simulated wall-clock time.
-//!
-//! Set `HIVE_JOIN_DEBUG=1` to trace every join-strategy decision (sizes
-//! vs thresholds) to stderr.
 
 #![forbid(unsafe_code)]
 

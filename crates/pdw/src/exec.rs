@@ -16,8 +16,8 @@ use crate::optimizer::{
     colblock_scan_charge, est_join_rows, implied_pred, ndv, pushdown_filters, JoinChain,
 };
 use cluster::{ClusterExec, Params, Phase};
-use relational::batch;
-use relational::expr::{Bounds, Expr};
+use relational::expr::Expr;
+use relational::scan::{project_key, ScanChain};
 use relational::value::row_bytes;
 use relational::{ops, AggCall, JoinKind, LogicalPlan, Row, SortKey};
 use simkit::probe::Probe;
@@ -202,67 +202,11 @@ impl PRel {
     /// rows are already in `parts`.
     fn set_projected(&mut self, exprs: &[(Expr, String)]) {
         self.dist = match self.dist {
-            Dist::Hash(c) => exprs
-                .iter()
-                .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                .map(Dist::Hash)
-                .unwrap_or(Dist::Arbitrary),
+            Dist::Hash(c) => project_key(exprs, c).map_or(Dist::Arbitrary, Dist::Hash),
             d => d,
         };
         self.width = exprs.len();
     }
-}
-
-/// The row store's fused Filter/Project chain over one base table; `chain`
-/// is in execution order (innermost op first). The leading filters run on
-/// the borrowed base rows, so only their survivors are copied, and a
-/// projection right after them reads the borrowed rows directly. Any later
-/// ops run over the owned result, exactly as unfused ones would.
-fn scan_row_store(t: &PdwTable, chain: &[&LogicalPlan]) -> PRel {
-    let (base, dist) = match t {
-        PdwTable::Hash { col, parts, .. } => (parts.as_slice(), Dist::Hash(*col)),
-        PdwTable::Replicated { rows, .. } => (std::slice::from_ref(rows), Dist::Replicated),
-    };
-    let preds: Vec<&Expr> = chain
-        .iter()
-        .map_while(|op| match op {
-            LogicalPlan::Filter { pred, .. } => Some(pred),
-            _ => None,
-        })
-        .collect();
-    let keep = |r: &Row| preds.iter().all(|p| p.matches(r));
-    let mut rel = PRel {
-        parts: Vec::new(),
-        dist,
-        width: t.schema().len(),
-    };
-    let mut rest = &chain[preds.len()..];
-    if let Some(LogicalPlan::Project { exprs, .. }) = rest.first() {
-        rel.parts = base
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .filter(|r| keep(r))
-                    .map(|r| ops::project_row(r, exprs))
-                    .collect()
-            })
-            .collect();
-        rel.set_projected(exprs);
-        rest = &rest[1..];
-    } else {
-        rel.parts = base
-            .iter()
-            .map(|p| p.iter().filter(|r| keep(r)).cloned().collect())
-            .collect();
-    }
-    for op in rest {
-        match op {
-            LogicalPlan::Filter { pred, .. } => rel.filter(pred),
-            LogicalPlan::Project { exprs, .. } => rel.project(exprs),
-            _ => unreachable!("scan chains hold only Filter and Project"),
-        }
-    }
-    rel
 }
 
 /// Bytes of every base table, walked once per query. The buffer-pool hot
@@ -657,188 +601,42 @@ impl<'a> Ctx<'a> {
     /// Fuse Filter/Project chains directly over a base scan. PDW's row
     /// store reads full rows from disk; filters and projections happen
     /// after the read (on the host, before any row is copied — see
-    /// [`scan_row_store`]).
+    /// [`ScanChain::scan_rows`]). With [`PdwEngine::colblock`], each
+    /// distribution instead decodes only the read columns of the blocks
+    /// whose min/max stats admit a match, and the chain runs vectorized.
     fn try_scan_chain(&mut self, plan: &LogicalPlan) -> Option<PRel> {
-        let mut ops_rev: Vec<&LogicalPlan> = Vec::new();
-        let mut cur = plan;
-        let table = loop {
-            match cur {
-                LogicalPlan::Scan { table } => break table.clone(),
-                LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-                    ops_rev.push(cur);
-                    cur = input;
-                }
-                _ => return None,
-            }
+        let cat = self.cat;
+        let chain = ScanChain::match_plan(plan, |t| cat.table(t).schema().len())?;
+        let table = chain.table();
+        let t = cat.table(table);
+        let (base, dist) = match t {
+            PdwTable::Hash { col, parts, .. } => (
+                parts.as_slice(),
+                chain.key_after(*col).map_or(Dist::Arbitrary, Dist::Hash),
+            ),
+            PdwTable::Replicated { rows, .. } => (std::slice::from_ref(rows), Dist::Replicated),
         };
-        if self.colblock {
-            if let Some(files) = self.cat.col_files.get(&table) {
-                return Some(self.scan_chain_colblock(&table, files, &ops_rev));
-            }
+        let width = chain.width();
+        if let Some(files) = cat.col_files.get(table).filter(|_| self.colblock) {
+            let mut stats = ScanStats::default();
+            let mut decoded_rows = 0usize;
+            let parts = files
+                .iter()
+                .map(|f| {
+                    let (b, s) = f.read_pruned(chain.columns(), chain.bounds());
+                    decoded_rows += b.len;
+                    stats.merge(&s);
+                    chain.apply_batch(b).to_rows()
+                })
+                .collect();
+            self.scan_stats.merge(&stats);
+            self.charge_scan_colblock(table, &stats, decoded_rows);
+            return Some(PRel { parts, dist, width });
         }
-        let t = self.cat.table(&table);
-        let chain: Vec<&LogicalPlan> = ops_rev.into_iter().rev().collect();
-        let rel = scan_row_store(t, &chain);
-        let base_bytes = self.table_bytes[table.as_str()];
-        self.charge_scan_filtered(&table, base_bytes, t.n_rows(), rel.n_rows());
+        let parts = base.iter().map(|p| chain.scan_rows(p)).collect();
+        let rel = PRel { parts, dist, width };
+        self.charge_scan_filtered(table, self.table_bytes[table], t.n_rows(), rel.n_rows());
         Some(rel)
-    }
-
-    /// The columnar scan path: per distribution, decode only the needed
-    /// columns of the blocks whose min/max stats admit a match against the
-    /// base-level filter bounds, then run the Filter/Project stack
-    /// vectorized over the resulting [`batch::ColumnBatch`]es.
-    fn scan_chain_colblock(
-        &mut self,
-        table: &str,
-        files: &[storage::ColBlockFile],
-        ops_rev: &[&LogicalPlan],
-    ) -> PRel {
-        let t = self.cat.table(table);
-        let base_width = t.schema().len();
-        let base_dist_col = match t {
-            PdwTable::Hash { col, .. } => Some(*col),
-            PdwTable::Replicated { .. } => None,
-        };
-
-        // Needed base columns come from the ops below the first projection
-        // (they see base indices). Pruning bounds keep collecting past
-        // bare-column projections by mapping filter columns back to base
-        // indices — Q19's implied part predicate sits *above* the leaf's
-        // column-select projection and would otherwise be lost.
-        let mut needed: BTreeSet<usize> = BTreeSet::new();
-        let mut bounds: BTreeMap<usize, Bounds> = BTreeMap::new();
-        let mut has_project = false;
-        let mut col_map: Option<Vec<usize>> = Some((0..base_width).collect());
-        for op in ops_rev.iter().rev() {
-            match op {
-                LogicalPlan::Filter { pred, .. } => {
-                    if !has_project {
-                        pred.referenced_cols(&mut needed);
-                    }
-                    if let Some(map) = &col_map {
-                        for (c, b) in pred.column_bounds() {
-                            if let Some(&base) = map.get(c) {
-                                let merged = match bounds.remove(&base) {
-                                    Some(prev) => prev.intersect(b),
-                                    None => b,
-                                };
-                                bounds.insert(base, merged);
-                            }
-                        }
-                    }
-                }
-                LogicalPlan::Project { exprs, .. } => {
-                    if !has_project {
-                        for (e, _) in exprs {
-                            e.referenced_cols(&mut needed);
-                        }
-                        has_project = true;
-                    }
-                    col_map = col_map.and_then(|map| {
-                        exprs
-                            .iter()
-                            .map(|(e, _)| match e {
-                                Expr::Col(i) => map.get(*i).copied(),
-                                _ => None,
-                            })
-                            .collect()
-                    });
-                }
-                _ => unreachable!(),
-            }
-        }
-        if !has_project {
-            needed = (0..base_width).collect();
-        }
-        let cols: Vec<usize> = needed.iter().copied().collect();
-        let remap: BTreeMap<usize, usize> = cols
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new))
-            .collect();
-
-        // Distribution key and output width tracked through the op stack in
-        // remapped coordinates (one pass — identical for every file).
-        let mut dist = match base_dist_col {
-            Some(c) => remap
-                .get(&c)
-                .copied()
-                .map(Dist::Hash)
-                .unwrap_or(Dist::Arbitrary),
-            None => Dist::Replicated,
-        };
-        let mut width = cols.len();
-        {
-            let mut level_map = Some(&remap);
-            for op in ops_rev.iter().rev() {
-                match op {
-                    LogicalPlan::Filter { .. } => {}
-                    LogicalPlan::Project { exprs, .. } => {
-                        let mapped: Vec<Expr> = exprs
-                            .iter()
-                            .map(|(e, _)| match level_map {
-                                Some(m) => e.remap_cols(m),
-                                None => e.clone(),
-                            })
-                            .collect();
-                        dist = match dist {
-                            Dist::Hash(c) => mapped
-                                .iter()
-                                .position(|e| matches!(e, Expr::Col(i) if *i == c))
-                                .map(Dist::Hash)
-                                .unwrap_or(Dist::Arbitrary),
-                            d => d,
-                        };
-                        width = exprs.len();
-                        level_map = None;
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        }
-
-        let mut total_stats = ScanStats::default();
-        let mut decoded_rows = 0usize;
-        let mut parts: Vec<Vec<Row>> = Vec::with_capacity(files.len());
-        for f in files {
-            let (mut b, stats) = f.read_pruned(&cols, &bounds);
-            decoded_rows += b.len;
-            total_stats.merge(&stats);
-            let mut level_map = Some(&remap);
-            for op in ops_rev.iter().rev() {
-                match op {
-                    LogicalPlan::Filter { pred, .. } => {
-                        let p2 = match level_map {
-                            Some(m) => pred.remap_cols(m),
-                            None => (*pred).clone(),
-                        };
-                        b = batch::filter(&b, &p2);
-                    }
-                    LogicalPlan::Project { exprs, .. } => {
-                        let mapped: Vec<(Expr, String)> = exprs
-                            .iter()
-                            .map(|(e, n)| {
-                                (
-                                    match level_map {
-                                        Some(m) => e.remap_cols(m),
-                                        None => e.clone(),
-                                    },
-                                    n.clone(),
-                                )
-                            })
-                            .collect();
-                        b = batch::project(&b, &mapped);
-                        level_map = None;
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            parts.push(b.to_rows());
-        }
-        self.scan_stats.merge(&total_stats);
-        self.charge_scan_colblock(table, &total_stats, decoded_rows);
-        PRel { parts, dist, width }
     }
 
     // ---- joins -----------------------------------------------------------
@@ -1027,21 +825,7 @@ impl<'a> Ctx<'a> {
                 (Expr::Col(pos), format!("c{pos}"))
             })
             .collect();
-        let dist = match current.dist {
-            Dist::Hash(c) => {
-                let lc = layout[c];
-                perm.iter()
-                    .position(|(e, _)| matches!(e, Expr::Col(i) if layout[*i] == lc))
-                    .map(Dist::Hash)
-                    .unwrap_or(Dist::Arbitrary)
-            }
-            d => d,
-        };
-        for p in &mut current.parts {
-            *p = ops::project(p, &perm);
-        }
-        current.width = perm.len();
-        current.dist = dist;
+        current.project(&perm);
         current
     }
 
@@ -1272,25 +1056,15 @@ impl<'a> Ctx<'a> {
         let d = self.cat.distributions;
         let width = group_by.len() + aggs.len();
 
-        // Fully local when grouping on the distribution key.
-        let local_ok = match rel.dist {
-            Dist::Hash(c) => group_by
-                .iter()
-                .any(|(e, _)| matches!(e, Expr::Col(i) if *i == c)),
-            Dist::Replicated => true,
-            Dist::Arbitrary => false,
+        // Fully local when grouping on the distribution key, which stays
+        // the output's distribution key.
+        let local_dist = match rel.dist {
+            Dist::Hash(c) => project_key(group_by, c).map(Dist::Hash),
+            Dist::Replicated => Some(Dist::Replicated),
+            Dist::Arbitrary => None,
         };
-        if local_ok && !group_by.is_empty() {
+        if let Some(dist) = local_dist.filter(|_| !group_by.is_empty()) {
             self.charge_agg("local-agg", rel.n_rows(), group_by.len() + aggs.len());
-            let dist = match rel.dist {
-                Dist::Hash(c) => group_by
-                    .iter()
-                    .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                    .map(Dist::Hash)
-                    .unwrap_or(Dist::Arbitrary),
-                Dist::Replicated => Dist::Replicated,
-                Dist::Arbitrary => Dist::Arbitrary,
-            };
             let parts = rel
                 .parts
                 .iter()

@@ -1,22 +1,16 @@
-//! Vectorized batch execution: typed column vectors and batch operators.
+//! Typed column vectors and the vectorized scan operators.
 //!
 //! A [`ColumnBatch`] holds a run of rows decomposed into per-column typed
 //! vectors ([`Column`]) with an explicit validity mask — the in-memory
-//! shape a columnar scan (the `storage::colblock` format) decodes into,
-//! and the shape modern vectorized engines execute over. The operators
-//! here ([`filter`], [`project`], [`hash_join`], [`aggregate_partial`],
-//! [`sort`], [`limit`]) consume and produce batches and are
-//! answer-equivalent to the row-at-a-time kernels in [`crate::ops`]: same
-//! SQL three-valued NULL semantics, same float accumulation order, same
-//! output order. The row kernels remain the compat layer for existing
-//! callers; [`ColumnBatch::from_rows`] / [`ColumnBatch::to_rows`] shim
-//! between the two worlds.
+//! shape a columnar scan (the `storage::colblock` format) decodes into.
+//! [`eval`], [`filter`] and [`project`] run a [`crate::scan::ScanChain`]'s
+//! ops over a batch with the row interpreter's semantics (SQL three-valued
+//! NULL logic, f64 arithmetic promotion); [`ColumnBatch::to_rows`] hands
+//! the result to the row operators in [`crate::ops`], which run every
+//! other plan node. [`ColumnBatch::from_rows`] builds a batch from rows.
 
-use crate::catalog::Catalog;
 use crate::date;
 use crate::expr::{like_match, ArithOp, CmpOp, Expr};
-use crate::ops::{self, AggState, GroupTable};
-use crate::plan::{AggCall, JoinKind, LogicalPlan, SortKey};
 use crate::schema::{DataType, Schema};
 use crate::value::{Row, Value};
 use std::cmp::Ordering;
@@ -136,15 +130,6 @@ impl Column {
         Column::from_values(&idx.iter().map(|&i| self.value_at(i)).collect::<Vec<_>>())
     }
 
-    /// Like [`Column::gather`] but `None` produces NULL (outer-join padding).
-    pub fn gather_opt(&self, idx: &[Option<usize>]) -> Column {
-        Column::from_values(
-            &idx.iter()
-                .map(|i| i.map(|i| self.value_at(i)).unwrap_or(Value::Null))
-                .collect::<Vec<_>>(),
-        )
-    }
-
     fn as_bool(&self, i: usize) -> Option<bool> {
         if !self.valid[i] {
             return None;
@@ -191,18 +176,6 @@ impl ColumnBatch {
                 let vals: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
                 Column::from_values_typed(&vals, schema.field(c).ty)
             })
-            .collect();
-        ColumnBatch {
-            columns,
-            len: rows.len(),
-        }
-    }
-
-    /// Row → column shim for intermediate results without a schema; lane
-    /// types are inferred per column.
-    pub fn from_rows_inferred(rows: &[Row], width: usize) -> ColumnBatch {
-        let columns = (0..width)
-            .map(|c| Column::from_values(&rows.iter().map(|r| r[c].clone()).collect::<Vec<_>>()))
             .collect();
         ColumnBatch {
             columns,
@@ -538,242 +511,11 @@ pub fn project(batch: &ColumnBatch, exprs: &[(Expr, String)]) -> ColumnBatch {
     }
 }
 
-/// Hash join over batches, answer-identical to [`ops::hash_join`]: build
-/// on `right`, probe with `left` in order, NULL keys never match, and the
-/// residual sees the concatenated `[left ++ right]` candidate. The
-/// vectorized twist: candidate pairs are collected first and the residual
-/// is evaluated in one batch pass over the gathered pair columns.
-pub fn hash_join(
-    left: &ColumnBatch,
-    right: &ColumnBatch,
-    on: &[(usize, usize)],
-    kind: JoinKind,
-    residual: Option<&Expr>,
-    right_width: usize,
-) -> ColumnBatch {
-    // Candidate (left, right) index pairs in probe order.
-    let mut cand: Vec<(usize, usize)> = Vec::new();
-    // Per left row: range into `cand`.
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(left.len);
-    if on.is_empty() {
-        for li in 0..left.len {
-            let start = cand.len();
-            cand.extend((0..right.len).map(|ri| (li, ri)));
-            ranges.push((start, cand.len()));
-        }
-    } else {
-        let lcols: Vec<&Column> = on.iter().map(|&(l, _)| &left.columns[l]).collect();
-        let rcols: Vec<&Column> = on.iter().map(|&(_, r)| &right.columns[r]).collect();
-        // simlint: allow(no-unordered-iter) — build side is probe-only (`get`), output order is driven by the left probe order
-        type ProbeTable = std::collections::HashMap<Vec<Value>, Vec<usize>>;
-        let mut table = ProbeTable::new();
-        for ri in 0..right.len {
-            let k: Vec<Value> = rcols.iter().map(|c| c.value_at(ri)).collect();
-            if k.iter().any(Value::is_null) {
-                continue;
-            }
-            table.entry(k).or_default().push(ri);
-        }
-        for li in 0..left.len {
-            let start = cand.len();
-            let k: Vec<Value> = lcols.iter().map(|c| c.value_at(li)).collect();
-            if !k.iter().any(Value::is_null) {
-                if let Some(idxs) = table.get(&k) {
-                    cand.extend(idxs.iter().map(|&ri| (li, ri)));
-                }
-            }
-            ranges.push((start, cand.len()));
-        }
-    }
-
-    // One vectorized residual pass over the gathered candidate pairs.
-    let ok: Vec<bool> = match residual {
-        None => vec![true; cand.len()],
-        Some(pred) => {
-            let lidx: Vec<usize> = cand.iter().map(|&(l, _)| l).collect();
-            let ridx: Vec<usize> = cand.iter().map(|&(_, r)| r).collect();
-            let mut cols: Vec<Column> = left.columns.iter().map(|c| c.gather(&lidx)).collect();
-            cols.extend(right.columns.iter().map(|c| c.gather(&ridx)));
-            let pair_batch = ColumnBatch {
-                columns: cols,
-                len: cand.len(),
-            };
-            let mask = eval(pred, &pair_batch);
-            (0..cand.len())
-                .map(|i| mask.as_bool(i) == Some(true))
-                .collect()
-        }
-    };
-
-    // Apply join-kind semantics per left row, in probe order.
-    let mut out_l: Vec<usize> = Vec::new();
-    let mut out_r: Vec<Option<usize>> = Vec::new();
-    for (li, &(start, end)) in ranges.iter().enumerate() {
-        let mut any = false;
-        for ci in start..end {
-            if !ok[ci] {
-                continue;
-            }
-            any = true;
-            match kind {
-                JoinKind::Inner | JoinKind::Left => {
-                    out_l.push(li);
-                    out_r.push(Some(cand[ci].1));
-                }
-                JoinKind::LeftSemi => {
-                    out_l.push(li);
-                    break;
-                }
-                JoinKind::LeftAnti => break,
-            }
-        }
-        if !any {
-            match kind {
-                JoinKind::Left => {
-                    out_l.push(li);
-                    out_r.push(None);
-                }
-                JoinKind::LeftAnti => out_l.push(li),
-                _ => {}
-            }
-        }
-    }
-
-    let mut columns: Vec<Column> = left.columns.iter().map(|c| c.gather(&out_l)).collect();
-    if matches!(kind, JoinKind::Inner | JoinKind::Left) {
-        columns.extend(right.columns.iter().map(|c| c.gather_opt(&out_r)));
-        debug_assert_eq!(right.columns.len(), right_width);
-    }
-    ColumnBatch {
-        len: out_l.len(),
-        columns,
-    }
-}
-
-/// Partial aggregation over a batch into the shared [`GroupTable`]: group
-/// keys and aggregate arguments are evaluated as whole columns, then the
-/// states update in row order — the same accumulation order as
-/// [`ops::aggregate_partial`], so float results are bit-identical.
-pub fn aggregate_partial(
-    batch: &ColumnBatch,
-    group_by: &[(Expr, String)],
-    aggs: &[AggCall],
-) -> GroupTable {
-    let key_cols: Vec<Column> = group_by.iter().map(|(e, _)| eval(e, batch)).collect();
-    let arg_cols: Vec<Option<Column>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| eval(e, batch)))
-        .collect();
-    let mut table = GroupTable::new();
-    for i in 0..batch.len {
-        let key: Vec<Value> = key_cols.iter().map(|c| c.value_at(i)).collect();
-        let states = table.entry(key).or_insert_with(|| {
-            aggs.iter()
-                .map(|a| AggState::new(a.func))
-                .collect::<Vec<_>>()
-        });
-        for (st, arg) in states.iter_mut().zip(&arg_cols) {
-            match arg {
-                Some(c) => st.update(c.value_at(i)),
-                None => st.update_star(),
-            }
-        }
-    }
-    if group_by.is_empty() && table.is_empty() {
-        table.insert(
-            Vec::new(),
-            aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        );
-    }
-    table
-}
-
-/// One-shot batch aggregate (partial + finish).
-pub fn hash_aggregate(
-    batch: &ColumnBatch,
-    group_by: &[(Expr, String)],
-    aggs: &[AggCall],
-) -> Vec<Row> {
-    ops::aggregate_finish(aggregate_partial(batch, group_by, aggs))
-}
-
-/// ORDER BY over a batch: stable argsort on vectorized key columns, then
-/// one gather — the permutation [`ops::sort`] produces.
-pub fn sort(batch: &ColumnBatch, keys: &[SortKey]) -> ColumnBatch {
-    let key_cols: Vec<Column> = keys.iter().map(|k| eval(&k.expr, batch)).collect();
-    let mut idx: Vec<usize> = (0..batch.len).collect();
-    idx.sort_by(|&a, &b| {
-        for (k, c) in keys.iter().zip(&key_cols) {
-            let ord = c.value_at(a).cmp(&c.value_at(b));
-            let ord = if k.desc { ord.reverse() } else { ord };
-            if !ord.is_eq() {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    });
-    batch.gather(&idx)
-}
-
-/// LIMIT over a batch.
-pub fn limit(batch: &ColumnBatch, n: usize) -> ColumnBatch {
-    if n >= batch.len {
-        return batch.clone();
-    }
-    batch.gather(&(0..n).collect::<Vec<_>>())
-}
-
-// ---- batch reference executor ----------------------------------------------
-
-/// Execute a plan with the vectorized operators end to end, returning
-/// `(schema, rows)` — the batch counterpart of [`crate::execute`], used by
-/// the answer-equivalence tests.
-pub fn execute_batch(plan: &LogicalPlan, catalog: &Catalog) -> (Schema, Vec<Row>) {
-    let schema = plan.schema(catalog);
-    let batch = run(plan, catalog);
-    (schema, batch.to_rows())
-}
-
-fn run(plan: &LogicalPlan, catalog: &Catalog) -> ColumnBatch {
-    match plan {
-        LogicalPlan::Scan { table } => {
-            let t = catalog.get(table);
-            ColumnBatch::from_rows(&t.rows, &t.schema)
-        }
-        LogicalPlan::Filter { input, pred } => filter(&run(input, catalog), pred),
-        LogicalPlan::Project { input, exprs } => project(&run(input, catalog), exprs),
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            residual,
-            ..
-        } => {
-            let l = run(left, catalog);
-            let r = run(right, catalog);
-            let right_width = right.schema(catalog).len();
-            hash_join(&l, &r, on, *kind, residual.as_ref(), right_width)
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let rows = hash_aggregate(&run(input, catalog), group_by, aggs);
-            ColumnBatch::from_rows_inferred(&rows, group_by.len() + aggs.len())
-        }
-        LogicalPlan::Sort { input, keys } => sort(&run(input, catalog), keys),
-        LogicalPlan::Limit { input, n } => limit(&run(input, catalog), *n),
-        LogicalPlan::Materialize { input, .. } => run(input, catalog),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{and, col, lit_i64, lit_str, or};
-    use crate::plan::AggFunc;
+    use crate::ops;
 
     fn sample() -> (Vec<Row>, Schema) {
         let schema = Schema::of(&[
@@ -796,9 +538,6 @@ mod tests {
         let b = ColumnBatch::from_rows(&rows, &schema);
         assert_eq!(b.len, 4);
         assert_eq!(b.to_rows(), rows);
-        // Inferred lanes round-trip too (including the all-seen-types case).
-        let b2 = ColumnBatch::from_rows_inferred(&rows, 3);
-        assert_eq!(b2.to_rows(), rows);
     }
 
     #[test]
@@ -836,71 +575,5 @@ mod tests {
             ),
         ];
         assert_eq!(project(&b, &exprs).to_rows(), ops::project(&rows, &exprs));
-    }
-
-    #[test]
-    fn joins_match_row_kernel_for_every_kind() {
-        let (rows, schema) = sample();
-        let right_rows = vec![
-            vec![Value::I64(2), Value::str("r1")],
-            vec![Value::I64(2), Value::str("r2")],
-            vec![Value::Null, Value::str("rn")],
-            vec![Value::I64(9), Value::str("r9")],
-        ];
-        let rschema = Schema::of(&[("rk", DataType::I64), ("rv", DataType::Str)]);
-        let l = ColumnBatch::from_rows(&rows, &schema);
-        let r = ColumnBatch::from_rows(&right_rows, &rschema);
-        let residual = col(4).ne(lit_str("r2"));
-        for kind in [
-            JoinKind::Inner,
-            JoinKind::Left,
-            JoinKind::LeftSemi,
-            JoinKind::LeftAnti,
-        ] {
-            for res in [None, Some(&residual)] {
-                let want = ops::hash_join(&rows, &right_rows, &[(0, 0)], kind, res, 2);
-                let got = hash_join(&l, &r, &[(0, 0)], kind, res, 2).to_rows();
-                assert_eq!(got, want, "kind {kind:?} residual {}", res.is_some());
-            }
-        }
-        // Cross join (empty `on`) with a residual.
-        let cross = col(0).eq(col(3));
-        let want = ops::hash_join(&rows, &right_rows, &[], JoinKind::Inner, Some(&cross), 2);
-        let got = hash_join(&l, &r, &[], JoinKind::Inner, Some(&cross), 2).to_rows();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn aggregate_matches_row_kernel_bit_for_bit() {
-        let (rows, schema) = sample();
-        let b = ColumnBatch::from_rows(&rows, &schema);
-        let group = vec![(col(0), "k".to_string())];
-        let aggs = vec![
-            AggCall::new(AggFunc::Sum, Some(col(2)), "s"),
-            AggCall::new(AggFunc::Count, Some(col(1)), "c"),
-            AggCall::new(AggFunc::Avg, Some(col(2)), "a"),
-            AggCall::new(AggFunc::Min, Some(col(1)), "mn"),
-            AggCall::new(AggFunc::Max, Some(col(2)), "mx"),
-            AggCall::new(AggFunc::Count, None, "n"),
-        ];
-        assert_eq!(
-            hash_aggregate(&b, &group, &aggs),
-            ops::hash_aggregate(&rows, &group, &aggs)
-        );
-        // Global aggregate over an empty batch still yields one group.
-        let empty = ColumnBatch::from_rows(&[], &schema);
-        assert_eq!(
-            hash_aggregate(&empty, &[], &aggs),
-            ops::hash_aggregate(&[], &[], &aggs)
-        );
-    }
-
-    #[test]
-    fn sort_and_limit_match_row_kernels() {
-        let (rows, schema) = sample();
-        let b = ColumnBatch::from_rows(&rows, &schema);
-        let keys = vec![SortKey::desc(col(0)), SortKey::asc(col(1))];
-        assert_eq!(sort(&b, &keys).to_rows(), ops::sort(rows.clone(), &keys));
-        assert_eq!(limit(&b, 2).to_rows(), ops::limit(rows, 2));
     }
 }

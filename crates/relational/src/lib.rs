@@ -15,9 +15,12 @@
 //!   join / aggregate / sort / limit),
 //! * [`ops`] — operator kernels over materialized row vectors (hash join,
 //!   hash aggregate, sort, ...) reused by every engine,
-//! * [`batch`] — vectorized counterparts of the same kernels over typed
-//!   column vectors (`ColumnBatch`), answer-equivalent by construction
-//!   and fed by the columnar `storage::colblock` scan paths,
+//! * [`scan`] — the Filter/Project chain over a base-table scan that both
+//!   warehouses fuse into their scans: read columns, pruning bounds, key
+//!   tracking, and the op stack over rows or column batches,
+//! * [`batch`] — typed column vectors (`ColumnBatch`) that the columnar
+//!   `storage::colblock` scans decode into, with the vectorized filter and
+//!   project a scan chain runs over them,
 //! * [`exec`] — a single-node reference executor used as the ground truth
 //!   in cross-engine answer-equality tests,
 //! * [`catalog`] — an in-memory table provider.
@@ -55,6 +58,7 @@ pub mod exec;
 pub mod expr;
 pub mod ops;
 pub mod plan;
+pub mod scan;
 pub mod schema;
 pub mod testing;
 pub mod value;

@@ -269,3 +269,127 @@ proptest! {
         }
     }
 }
+
+// ---- the shared scan chain: rows, batches and the reference agree ----------
+
+use relational::batch::ColumnBatch;
+use relational::expr::{lit_i64, lit_str};
+use relational::scan::ScanChain;
+use relational::{Catalog, DataType, Expr, LogicalPlan, Schema, Table};
+
+/// `t(i I64, d Decimal, s Str, dt Date)`, every column NULL about one time
+/// in six; each row is drawn from one `u64`, 16 bits per column.
+fn typed_row(bits: u64) -> Row {
+    let cell = |k: u32, make: fn(i64) -> Value| {
+        let f = ((bits >> (k * 16)) & 0xffff) as i64;
+        if f % 6 == 0 {
+            Value::Null
+        } else {
+            make((f >> 3) % 40 - 20)
+        }
+    };
+    vec![
+        cell(0, Value::I64),
+        cell(1, Value::Decimal),
+        cell(2, |x| {
+            Value::str(["a", "b", "ab", ""][x.rem_euclid(4) as usize])
+        }),
+        cell(3, |x| Value::Date(x as i32)),
+    ]
+}
+
+fn typed_schema() -> Schema {
+    Schema::of(&[
+        ("i", DataType::I64),
+        ("d", DataType::Decimal),
+        ("s", DataType::Str),
+        ("dt", DataType::Date),
+    ])
+}
+
+/// A well-typed predicate over a column of type `ty`, chosen by `c`.
+fn arb_pred(c: u64, i: usize, ty: DataType) -> Expr {
+    let x = (c >> 20) as i64 % 30 - 15;
+    let lit = match ty {
+        DataType::I64 => lit_i64(x),
+        DataType::Decimal => Expr::Lit(Value::Decimal(x)),
+        DataType::F64 => Expr::Lit(Value::F64(x as f64)),
+        DataType::Date => Expr::Lit(Value::Date(x as i32)),
+        _ => lit_str(["a", "b"][x.rem_euclid(2) as usize]),
+    };
+    let cmp = match (c >> 8) % 4 {
+        0 => col(i).ge(lit),
+        1 => col(i).lt(lit),
+        2 => col(i).eq(lit),
+        _ => col(i).ne(lit),
+    };
+    match (c >> 12) % 5 {
+        0 => Expr::IsNull(Box::new(col(i))),
+        1 => cmp.negate(),
+        2 => relational::expr::or(vec![cmp, Expr::IsNull(Box::new(col(i)))]),
+        3 if ty == DataType::Str => col(i).like("a%"),
+        _ => cmp,
+    }
+}
+
+/// A Filter/Project chain over `t`, one op per choice. Each level's column
+/// types are tracked so every expression is well typed; numeric columns
+/// are sometimes projected through arithmetic (a computed column).
+fn arb_scan_chain(choices: &[u64]) -> LogicalPlan {
+    let mut types: Vec<DataType> = typed_schema().fields().iter().map(|f| f.ty).collect();
+    let mut plan = LogicalPlan::scan("t");
+    for &c in choices {
+        if c % 3 != 0 {
+            let i = (c >> 4) as usize % types.len();
+            plan = plan.filter(arb_pred(c, i, types[i]));
+            continue;
+        }
+        let n = 1 + (c >> 2) as usize % 4;
+        let mut exprs = Vec::with_capacity(n);
+        let mut next = Vec::with_capacity(n);
+        for j in 0..n {
+            let src = (c >> (8 + 6 * j)) as usize % types.len();
+            let numeric = matches!(
+                types[src],
+                DataType::I64 | DataType::Decimal | DataType::F64
+            );
+            if numeric && (c >> (40 + j)) & 1 == 1 {
+                exprs.push((col(src).mul(lit_i64(3)).add(col(src)), "e"));
+                next.push(DataType::F64);
+            } else {
+                exprs.push((col(src), "c"));
+                next.push(types[src]);
+            }
+        }
+        plan = plan.project(exprs);
+        types = next;
+    }
+    plan
+}
+
+proptest! {
+    #[test]
+    fn scan_chain_on_rows_and_batches_matches_the_reference(
+        bits in proptest::collection::vec(any::<u64>(), 0..40),
+        choices in proptest::collection::vec(any::<u64>(), 1..5),
+    ) {
+        let base: Vec<Row> = bits.into_iter().map(typed_row).collect();
+        let schema = typed_schema();
+        let mut cat = Catalog::new();
+        cat.add("t", Table::new(schema.clone(), base.clone()));
+        let plan = arb_scan_chain(&choices);
+        let (_, want) = relational::execute(&plan, &cat);
+
+        let chain = ScanChain::match_plan(&plan, |_| schema.len()).expect("scan chain");
+        prop_assert_eq!(chain.width(), plan.schema(&cat).len());
+        let cols = chain.columns();
+        let pruned: Vec<Row> = base
+            .iter()
+            .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
+            .collect();
+        let batch = ColumnBatch::from_rows(&pruned, &schema.project(cols));
+        prop_assert_eq!(&chain.apply_rows(pruned), &want);
+        prop_assert_eq!(&chain.apply_batch(batch).to_rows(), &want);
+        prop_assert_eq!(&chain.scan_rows(&base), &want);
+    }
+}

@@ -26,8 +26,8 @@
 //! * **Binary heap** ([`SchedulerKind::Heap`]): the pre-calendar discipline,
 //!   kept as an always-available A/B oracle. The scheduler-equivalence
 //!   suite runs whole engine workloads under both backends and requires
-//!   identical probe streams; compiling with the `heap-scheduler` feature
-//!   flips the *default* backend for every `Sim::new` in the process.
+//!   identical probe streams; an [`override_thread_default`] guard selects
+//!   it for every `Sim::new` on the thread.
 //!
 //! Ordering contract (both backends): strictly increasing `(at, seq)` —
 //! earliest time first, FIFO among equal times via the monotone sequence
@@ -50,27 +50,18 @@ pub enum SchedulerKind {
     Heap,
 }
 
-/// The compiled-in default backend: [`SchedulerKind::Calendar`], unless the
-/// `heap-scheduler` feature is enabled (A/B verification builds).
-pub fn compiled_default() -> SchedulerKind {
-    if cfg!(feature = "heap-scheduler") {
-        SchedulerKind::Heap
-    } else {
-        SchedulerKind::Calendar
-    }
-}
-
 thread_local! {
     static THREAD_DEFAULT: std::cell::Cell<Option<SchedulerKind>> =
         const { std::cell::Cell::new(None) };
 }
 
 /// The backend `Sim::new` uses on this thread: the innermost live
-/// [`SchedulerOverride`], or [`compiled_default`] when none is active.
+/// [`SchedulerOverride`], or [`SchedulerKind::Calendar`] when none is
+/// active.
 pub fn thread_default() -> SchedulerKind {
     THREAD_DEFAULT
         .with(|c| c.get())
-        .unwrap_or_else(compiled_default)
+        .unwrap_or(SchedulerKind::Calendar)
 }
 
 /// RAII guard that makes every `Sim::new` on this thread use `kind` until

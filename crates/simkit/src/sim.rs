@@ -98,8 +98,8 @@ impl<W: 'static> Default for Sim<W> {
 
 impl<W: 'static> Sim<W> {
     /// A simulator on the thread-default scheduler backend: the calendar
-    /// queue, unless a [`crate::sched::override_thread_default`] guard or
-    /// the `heap-scheduler` feature says otherwise.
+    /// queue, unless a [`crate::sched::override_thread_default`] guard
+    /// says otherwise.
     pub fn new() -> Self {
         Self::with_scheduler(crate::sched::thread_default())
     }

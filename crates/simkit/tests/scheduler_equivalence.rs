@@ -98,5 +98,5 @@ fn thread_override_selects_the_backend_for_plain_new() {
     assert_eq!(sim.scheduler_kind(), SchedulerKind::Heap);
     drop(guard);
     let sim: Sim<()> = Sim::new();
-    assert_eq!(sim.scheduler_kind(), simkit::sched::compiled_default());
+    assert_eq!(sim.scheduler_kind(), SchedulerKind::Calendar);
 }

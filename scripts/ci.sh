@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The CI gate, runnable locally: formatting, lints (warnings are errors),
-# and the full test suite. Mirrors .github/workflows/ci.yml exactly.
+# the full test suite, and the committed-artifact diffs. The workflow in
+# .github/workflows/ci.yml runs this script as its only gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,8 +12,9 @@ echo "== cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== simlint"
-# The determinism lint must pass on the tree...
-cargo run -q -p simlint
+# The determinism lint must pass on the tree (JSON diagnostics, one per
+# line, feed the workflow's problem matcher so violations annotate PRs)...
+cargo run -q -p simlint -- --format json
 # ...every inline suppression must still suppress something (a stale allow
 # is dead policy and rots silently otherwise)...
 cargo run -q -p simlint -- --list-allows --strict >/dev/null

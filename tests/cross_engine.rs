@@ -181,22 +181,6 @@ fn ordered_outputs_respect_order_by() {
     ));
 }
 
-/// The vectorized executor is a drop-in for the row executor: identical
-/// output — including accumulation order, so exact equality, not just
-/// multiset equality — on every TPC-H query.
-#[test]
-fn vectorized_executor_matches_row_executor_on_all_22() {
-    let catalog = generate(&GenConfig::new(SIM_SCALE));
-    for q in 1..=elephants::tpch::QUERY_COUNT {
-        let plan = elephants::tpch::query(q);
-        let (row_schema, row_out) = execute(&plan, &catalog);
-        let (batch_schema, batch_out) =
-            elephants::relational::batch::execute_batch(&plan, &catalog);
-        assert_eq!(row_schema, batch_schema, "Q{q}: schemas diverge");
-        assert_eq!(row_out, batch_out, "Q{q}: vectorized output diverges");
-    }
-}
-
 /// Both engines on colblock storage answer every query identically to the
 /// reference executor, and block-level min/max pruning demonstrably skips
 /// blocks where the predicates allow it. Hive prunes only predicates

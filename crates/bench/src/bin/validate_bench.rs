@@ -52,6 +52,22 @@ fn need_str(root: &Json, path: &str, out: &mut Vec<String>) {
     }
 }
 
+/// Require `path` to be a non-empty array of named timed points, each
+/// with its event count, seconds and events per second.
+fn need_timed_points(root: &Json, path: &str, out: &mut Vec<String>) {
+    match need(root, path, out).and_then(|v| v.as_arr()) {
+        Some(ps) if !ps.is_empty() => {
+            for p in ps {
+                need_str(p, "name", out);
+                for f in ["events", "secs", "events_per_sec"] {
+                    need_num(p, f, out);
+                }
+            }
+        }
+        _ => out.push(format!("`{path}` is not a non-empty array")),
+    }
+}
+
 /// Common envelope every bench artifact carries: the bench name plus the
 /// machine/config annotations (cores, opt level, iteration count) that
 /// make a committed timing comparable across PRs.
@@ -79,45 +95,8 @@ fn check_body(root: &Json, out: &mut Vec<String>) {
     };
     match kind {
         "kernel" => {
-            for p in [
-                "headline.baseline_events_per_sec",
-                "headline.new_events_per_sec",
-                "headline.speedup",
-            ] {
-                need_num(root, p, out);
-            }
-            need_str(root, "headline.workload", out);
-            need_str(root, "headline.baseline_kernel", out);
-            need_str(root, "headline.new_kernel", out);
-            match need(root, "workloads", out).and_then(|w| w.as_arr()) {
-                Some(ws) if !ws.is_empty() => {
-                    for w in ws {
-                        need_str(w, "name", out);
-                        need_num(w, "speedup_calendar_vs_legacy", out);
-                        match need(w, "kernels", out).and_then(|k| k.as_arr()) {
-                            Some(ks) if !ks.is_empty() => {
-                                for k in ks {
-                                    need_str(k, "kernel", out);
-                                    need_num(k, "events", out);
-                                    need_num(k, "secs", out);
-                                    need_num(k, "events_per_sec", out);
-                                }
-                            }
-                            _ => out.push("workload without a non-empty `kernels` array".into()),
-                        }
-                    }
-                }
-                _ => out.push("`workloads` is not a non-empty array".into()),
-            }
-            match need(root, "engine_points", out).and_then(|e| e.as_arr()) {
-                Some(es) if !es.is_empty() => {
-                    for e in es {
-                        need_str(e, "name", out);
-                        need_num(e, "events_per_sec", out);
-                    }
-                }
-                _ => out.push("`engine_points` is not a non-empty array".into()),
-            }
+            need_timed_points(root, "workloads", out);
+            need_timed_points(root, "engine_points", out);
             for p in [
                 "fanout.jobs",
                 "fanout.threads",

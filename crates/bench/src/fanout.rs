@@ -7,8 +7,8 @@
 //! its own RNG streams, and shares nothing. [`run`] executes such a job
 //! list across OS threads and returns results **in job order**, so output
 //! bytes are identical whatever the thread count (including 1): parallelism
-//! changes wall-clock only, never results. `tests/scheduler_equivalence.rs`
-//! and the unit tests below hold that as an invariant.
+//! changes wall-clock only, never results. `bench_kernel`'s fan-out
+//! section and the unit tests below hold that as an invariant.
 //!
 //! Scheduling is a shared atomic cursor (work stealing by index): threads
 //! grab the next unstarted job, so a straggler job never serializes the

@@ -1,19 +1,19 @@
-//! The event loop: virtual clock, calendar-queue event scheduling, arena
+//! The event loop: virtual clock, binary-heap event scheduling, arena
 //! event storage, batched resource grant/re-dispatch.
 //!
-//! See [`crate::sched`] for the queue backends and the arena; this module
+//! See [`crate::sched`] for the event queue and the arena; this module
 //! owns the clock, the dispatch loop, and the resource grant path. The
-//! observable contract is frozen: event order is strictly `(at, seq)` and
-//! the probe stream is byte-identical across scheduler backends — the
-//! scheduler-equivalence suite (`tests/scheduler_equivalence.rs`) runs
-//! whole engine workloads under both to prove it.
+//! observable contract is frozen: event order is strictly `(at, seq)`, so
+//! the same seed gives the same probe stream — the engine-level replay
+//! suite (`crates/bench/tests/replay_determinism.rs`) runs whole engine
+//! workloads twice to hold that.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::probe::{Probe, ProbeEvent};
 use crate::resource::{Done, ResourceId, ResourceState};
-use crate::sched::{Action, Arena, Entry, EventQueue, SchedulerKind};
+use crate::sched::{Action, Arena, Entry, EventQueue};
 use crate::trace::ResKind;
 
 /// Virtual time in nanoseconds since simulation start.
@@ -60,9 +60,8 @@ impl ReqTiming {
 /// Resources live inside the simulator so that event handlers (which hold
 /// `&mut Sim<W>`) can request service without interior mutability.
 ///
-/// Pending events are stored in a recycling arena; the priority structure
-/// (calendar queue by default, binary heap as the A/B fallback — see
-/// [`SchedulerKind`]) orders lightweight `(at, seq, slot)` triples.
+/// Pending events are stored in a recycling arena; a binary heap orders
+/// lightweight `(at, seq, slot)` triples (see [`crate::sched`]).
 /// Resource-service completions are kernel-native events: a request costs
 /// one allocation (the caller's `done` closure), not two, and a completion
 /// re-dispatches every startable queued request in one frame instead of
@@ -97,22 +96,13 @@ impl<W: 'static> Default for Sim<W> {
 }
 
 impl<W: 'static> Sim<W> {
-    /// A simulator on the thread-default scheduler backend: the calendar
-    /// queue, unless a [`crate::sched::override_thread_default`] guard
-    /// says otherwise.
+    /// An empty simulator at time zero.
     pub fn new() -> Self {
-        Self::with_scheduler(crate::sched::thread_default())
-    }
-
-    /// A simulator on an explicitly chosen scheduler backend. Both
-    /// backends produce bit-identical event order; this exists for A/B
-    /// verification and benchmarking.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
         Sim {
             now: 0,
             seq: 0,
             arena: Arena::new(),
-            queue: EventQueue::new(kind),
+            queue: EventQueue::new(),
             resources: Vec::new(),
             executed: 0,
             probe: None,
@@ -120,11 +110,6 @@ impl<W: 'static> Sim<W> {
             probe_ctx: None,
             next_span: 0,
         }
-    }
-
-    /// Which scheduler backend this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
     }
 
     /// Attach (or detach, with `None`) a passive [`Probe`]. Resources that
@@ -621,9 +606,9 @@ mod tests {
 
     #[test]
     fn schedule_after_partial_run_until_fires_in_order() {
-        // Regression for the calendar window: peeking a far-future event
-        // jumps the ring forward; a later schedule between `now` and that
-        // event must still fire first (window rewind).
+        // `run_until` peeks a far-future event and stops short of it; an
+        // event scheduled afterwards between `now` and that event must
+        // still fire first.
         let mut sim: Sim<World> = Sim::new();
         let mut w = World::default();
         sim.after(secs(100.0), |s, w| w.log.push((s.now(), "far")));
@@ -749,12 +734,11 @@ mod tests {
     }
 
     #[test]
-    fn backends_replay_identical_logs() {
-        // The same workload on both backends, including resource traffic
-        // and same-instant ties, must produce the same log.
-        let run = |kind: SchedulerKind| {
-            let mut sim: Sim<World> = Sim::with_scheduler(kind);
-            assert_eq!(sim.scheduler_kind(), kind);
+    fn mixed_traffic_replays_identically_in_time_order() {
+        // Timers, resource traffic and same-instant ties: the log must be
+        // in time order and the same on every run.
+        let run = || {
+            let mut sim: Sim<World> = Sim::new();
             let mut w = World::default();
             let disk = sim.add_resource("disk", 1);
             let cpu = sim.add_resource("cpu", 2);
@@ -771,7 +755,13 @@ mod tests {
             (w.log, sim.events_executed())
         };
         const MICRO_MIX: [SimTime; 4] = [1_000, 250_000, 70_000_000, 2_000_000_000];
-        assert_eq!(run(SchedulerKind::Calendar), run(SchedulerKind::Heap));
+        let (log, events) = run();
+        assert!(
+            log.windows(2).all(|p| p[0].0 <= p[1].0),
+            "time went backwards"
+        );
+        assert_eq!(log.len(), 40);
+        assert_eq!((log, events), run());
     }
 
     #[test]

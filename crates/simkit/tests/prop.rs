@@ -136,22 +136,16 @@ proptest! {
 
     /// Slot recycling never confuses identities: interleaved schedule /
     /// fire traffic (a sliding window of pending events) delivers every
-    /// payload exactly once, in time order, on both scheduler backends.
+    /// payload exactly once, in time order.
     #[test]
     fn recycled_slots_deliver_every_payload_once(
         delays in proptest::collection::vec(1u64..500, 1..120),
-        backend_sel in 0u64..2,
     ) {
-        let kind = if backend_sel == 1 {
-            simkit::SchedulerKind::Heap
-        } else {
-            simkit::SchedulerKind::Calendar
-        };
-        let mut sim: S = Sim::with_scheduler(kind);
+        let mut sim: S = Sim::new();
         let seen: Rc<RefCell<Vec<usize>>> = Rc::default();
         // Chain: event i schedules event i+1 (slot of i is recycled for
-        // i+1 on the default backend), with a decoy event in between so
-        // the freelist is exercised out of order.
+        // i+1), with a decoy event in between so the freelist is
+        // exercised out of order.
         fn chain(sim: &mut S, delays: Rc<Vec<u64>>, i: usize, seen: Rc<RefCell<Vec<usize>>>) {
             let Some(&d) = delays.get(i) else { return };
             sim.after(d, {

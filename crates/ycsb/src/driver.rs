@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use simkit::stats::{LatencyHistogram, OnlineStats};
 use simkit::{secs, Sim, SimTime};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 type S = Sim<()>;
@@ -99,7 +99,7 @@ pub struct LatencySummary {
 pub struct RunResult {
     pub target_ops: f64,
     pub achieved_ops: f64,
-    pub latencies: HashMap<OpType, LatencySummary>,
+    pub latencies: BTreeMap<OpType, LatencySummary>,
     pub crashed: bool,
 }
 
@@ -132,7 +132,7 @@ impl Measure {
 struct DriverState {
     gen: OpGenerator,
     rng: StdRng,
-    measures: HashMap<OpType, Measure>,
+    measures: BTreeMap<OpType, Measure>,
     completed_in_window: u64,
     crashed: bool,
     issued: u64,
@@ -234,7 +234,7 @@ pub fn run_workload_observed(
         state: RefCell::new(DriverState {
             gen: OpGenerator::new(workload, cfg.n_records, cfg.max_scan_len),
             rng: StdRng::seed_from_u64(cfg.seed),
-            measures: HashMap::new(),
+            measures: BTreeMap::new(),
             completed_in_window: 0,
             crashed: false,
             issued: 0,
@@ -274,7 +274,7 @@ pub fn run_workload_observed(
     sim.run_until(&mut (), end + secs(5.0));
 
     let st = driver.state.borrow();
-    let mut latencies = HashMap::new();
+    let mut latencies = BTreeMap::new();
     for (ty, m) in &st.measures {
         latencies.insert(
             *ty,

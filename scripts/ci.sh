@@ -33,6 +33,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== benchmark self-tests (e2ebench)"
+# The reproduction benchmark is a package of its own; its tests hold the
+# steadiness self-check and the comparisons of its outputs against the
+# committed artifacts, so a kernel or engine change that breaks what the
+# benchmark checks fails here rather than in a benchmark run.
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== observability (trace export + passive-probe artifact diff)"
 # The probe layer must stay passive and deterministic: regenerating the
 # committed profile artifact — with a Chrome trace export riding along —
@@ -108,7 +115,7 @@ diff -u results/ablation_columnar.txt "$obs_tmp/ablation_columnar.txt"
 echo "== kernel bench smoke (runs end-to-end + schema gate over BENCH_*.json)"
 # BENCH_*.json artifacts are host-dependent timings, exempt from the
 # byte-diff gates above; the schema gate keeps them honest instead. The
-# smoke run proves the harness (both kernels, fan-out, engine points)
+# smoke run proves the harness (synthetic loads, engine points, fan-out)
 # still executes; validate_bench then checks the smoke output AND every
 # committed trajectory artifact for the machine/config annotations and
 # per-bench fields the docs read.
